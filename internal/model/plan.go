@@ -402,7 +402,7 @@ func (p *Program) EnsurePrefetched(e *Exec) bool {
 	if m&(1<<pbDynamic) != 0 {
 		bases[pbDynamic] = e.Cur.Addr
 	}
-	miss, resident := core.PlanResidency(bases, pl.fetch)
+	miss := core.FirstNonResident(bases, pl.fetch)
 	if miss < 0 {
 		return true
 	}
@@ -410,18 +410,17 @@ func (p *Program) EnsurePrefetched(e *Exec) bool {
 		// Stamp prefetch events with the CS they are fetching for.
 		core.SetCS(int32(e.CS))
 	}
-	// The issue reuses what the check just proved (see IssueFetchPlanned):
-	// ops before miss are still resident, op miss is still absent, and
-	// the recorded verdict mask answers every later op that no install
-	// or eviction of this very issue has dirtied — the charged sequence
-	// is identical to issuing the whole plan blind. The returned max
-	// ready-cycle plus the core's eviction epoch form the task's wakeup
-	// stamp: until the fill clock passes WakeAt with the epoch unmoved,
-	// a scheduler revisit can skip the residency walk outright. The rt
-	// wakeup scheduler consumes exactly this contract: it parks the
-	// task until Core.Now() >= WakeAt, and on an epoch move falls back
-	// to a real re-probe (clearing Prefetched) before stepping.
-	e.WakeAt = core.IssueFetchPlanned(bases, pl.fetch, miss, resident)
+	// The issue reuses what the check just proved (see IssueFetch): ops
+	// before miss are still resident and op miss is still absent, so the
+	// charged sequence is identical to issuing the whole plan blind. The
+	// returned max ready-cycle plus the core's eviction epoch form the
+	// task's wakeup stamp: until the fill clock passes WakeAt with the
+	// epoch unmoved, a scheduler revisit can skip the residency walk
+	// outright. The rt wakeup scheduler consumes exactly this contract:
+	// it parks the task until Core.Now() >= WakeAt, and on an epoch move
+	// falls back to a real re-probe (clearing Prefetched) before
+	// stepping.
+	e.WakeAt = core.IssueFetch(bases, pl.fetch, miss)
 	e.WakeEpoch = core.EvictionEpoch()
 	return false
 }

@@ -354,7 +354,7 @@ func (w *Worker) Run(src Source, maxPackets uint64) (Result, error) {
 					// wakeup stamp (Exec.WakeAt/WakeEpoch): the core's max
 					// MSHR ready-cycle and the eviction epoch it was
 					// stamped under, so any scheduler that revisits a
-					// pending task can skip the tiered residency walk
+					// pending task can skip the residency walk
 					// until the fills have landed or the epoch moved.
 					// This loop never revisits (Prefetched is set
 					// unconditionally), so here the stamp is diagnostic;
@@ -459,7 +459,7 @@ func (w *Worker) parkPop(n int) int32 {
 // runWakeup is the SchedulerWakeup interleave loop: Algorithm 1 with
 // the P-stage miss handling replaced by fill-clock parking. Where the
 // round-robin loop revisits a missed task on the very next lap — and
-// re-pays the tiered residency walk per lap until the fills land — this
+// re-pays the residency walk per lap until the fills land — this
 // loop unlinks the task from the run ring and parks it in the pending
 // min-heap keyed by Exec.WakeAt. A parked task is not visited again
 // until the core clock passes its stamp; the wake phase then re-links
@@ -576,7 +576,7 @@ func (w *Worker) runWakeup(src Source, maxPackets uint64) (Result, error) {
 					// loop will not re-pay the residency walk for this
 					// task before its fill clock passes. An empty stamp
 					// (the issue was fully dropped for want of MSHRs, or
-					// stamps are disabled core-side) parks on the
+					// came from an uncompiled program) parks on the
 					// conservative horizon instead: the earliest in-flight
 					// fill, after which MSHR capacity frees.
 					core.TaskSwitch()

@@ -19,11 +19,11 @@ func benchCore(b *testing.B) *Core {
 }
 
 // BenchmarkCacheLookup measures the raw lookup kernel on warm lines:
-// the single most executed operation in the simulator, now one verified
-// probe of the exact L1 index.
+// the single most executed operation in the simulator, one verified
+// probe of the L1's shadow index.
 func BenchmarkCacheLookup(b *testing.B) {
 	cfg := DefaultConfig().L1
-	c := newExactCache(cfg)
+	c := newCache(cfg, true)
 	// Fill a handful of sets so lookups traverse realistic occupancy.
 	lines := make([]uint64, 64)
 	for i := range lines {
@@ -34,7 +34,7 @@ func BenchmarkCacheLookup(b *testing.B) {
 	b.ResetTimer()
 	var slot int
 	for i := 0; i < b.N; i++ {
-		slot = c.lookup(lines[i&63])
+		slot = c.find(lines[i&63])
 	}
 	if slot < 0 {
 		b.Fatal("warm line missed")
@@ -56,7 +56,7 @@ func BenchmarkCoreReadHit(b *testing.B) {
 
 // BenchmarkCoreReadMiss measures demand reads over a footprint far
 // beyond the LLC, so (almost) every access walks the full miss path:
-// three tag scans plus three installs.
+// three probes plus three installs.
 func BenchmarkCoreReadMiss(b *testing.B) {
 	c := benchCore(b)
 	span := uint64(64 << 20) // 64 MiB >> 2 MiB LLC
@@ -106,8 +106,8 @@ func BenchmarkHierarchyMiss(b *testing.B) {
 // BenchmarkMSHRPressure measures a prefetch storm at the MSHR limit:
 // distinct never-resident lines issued back to back, so the admission
 // check runs every time, the MSHRs saturate, fills retire in bursts as
-// the issue cost advances the clock past minReady, and the drain/free-
-// ring machinery cycles continuously between drops and re-admissions.
+// the issue cost advances the clock past minReady, and the in-flight
+// list compacts continuously between drops and re-admissions.
 func BenchmarkMSHRPressure(b *testing.B) {
 	c := benchCore(b)
 	b.ReportAllocs()
@@ -140,9 +140,9 @@ func BenchmarkPrefetchLine(b *testing.B) {
 }
 
 // BenchmarkCoreReset measures one pooled-core cycle: a 4096-line warm
-// pass (8x the L1, so every level and the directory hold live state)
-// followed by the generation-stamped Reset. Contrast with
-// BenchmarkNewCore, the per-point construction cost pooling avoids.
+// pass (8x the L1, so every level holds live state) followed by Reset.
+// Contrast with BenchmarkNewCore, the per-point construction cost
+// pooling avoids.
 func BenchmarkCoreReset(b *testing.B) {
 	c := benchCore(b)
 	const lines = 4096

@@ -7,27 +7,39 @@ package sim
 //
 // Host-side layout: tags are compact uint32s (only the line bits above
 // the set index — the rest is implied by the set), so a full 16-way
-// set's tags fit in one host cache line. The per-way LRU stamp and fill
-// bookkeeping live in parallel arrays (structure-of-arrays: ready
-// cycles dense in one uint64 array, the L1-only prefetched flags in a
-// byte array) touched only on hits, installs and the full-set LRU pass.
+// set's tags fit in one host cache line and the scan kernels walk
+// contiguous memory. The per-way LRU stamp and fill bookkeeping live in
+// parallel meta arrays touched only on hits, installs and the full-set
+// LRU pass.
 //
-// Lookups are tiered by level. The L1 — the level nearly every access
-// resolves at — carries its own *exact index*: an open-addressed,
-// Fibonacci-hashed map (kv) from generation-stamped line keys to
-// slots, so the hot path is one hash, one compare against a structure
-// a few KiB big that stays resident in the host's own cache. The outer
-// levels share the Core's residency directory (see dir.go), probed only
-// after an L1 miss. The dense tag arrays remain fully maintained at
-// every level as the verification twin — find/probe below are the
-// historical scan implementations, routed to by Core.SetScanLookups and
-// by the twin fuzz tests, and the victim machinery reads the tags for
-// the set-full check and to recover the evicted line at install time.
+// Lookups are chosen per level at construction:
 //
-// Neither lookup strategy changes simulated behavior: a line occupies
-// at most one way of its set, so however the slot is found it is the
-// same slot a full scan would find, and the victim policy (lowest
-// invalid way, else strictly-oldest LRU stamp) is shared.
+//   - exact levels (the L1): a line→slot shadow index keyed by a full
+//     line hash, verified against the per-slot line number, written on
+//     every install and self-healed on every scan hit. A verified
+//     shadow hit is exact (slot s holds line iff lines[s] == line<<1|1,
+//     validity packed into the value), so the L1 hit path and residency
+//     probes — the scheduler's most frequent questions — are one
+//     load-and-compare with no way scan. Only shadow collisions and
+//     true misses fall to the dense set scan. The shadow needs no
+//     maintenance on eviction: a stale entry fails verification and is
+//     overwritten by the next install or scan hit. Sized at 4× the line
+//     capacity (8 KiB for the default 32 KiB L1), it stays hot in the
+//     host's own cache.
+//
+//   - scanned levels (L2, LLC): a fused compact-tag scan of the line's
+//     set, nothing else. A full set's tags fit one host cache line and
+//     the scan exits early at the first invalid way, so a probe costs a
+//     single host memory touch and yields both the hit slot and the
+//     install victim. Only L1 misses reach these levels and their
+//     probes are mostly cold (random sets); a line-keyed directory or
+//     per-set hint table in front of them adds a second host miss per
+//     probe and measured slower end to end (see DESIGN.md).
+//
+// Neither strategy changes simulated behavior: a line occupies at most
+// one way of its set, so however the slot is found it is the same slot
+// a full scan would find, and the victim policy (lowest invalid way,
+// else strictly-oldest LRU stamp) is shared.
 type cache struct {
 	cfg     CacheConfig
 	sets    int
@@ -35,118 +47,55 @@ type cache struct {
 	setMask uint64
 	// setShift is log2(sets): how far to shift a line to get its tag.
 	setShift uint
-	// levelShift is this level's slot-field shift in directory values
-	// (dirL2Shift/dirLLCShift); unused on the exact (L1) level.
-	levelShift uint
-	// dir is the outer-level residency directory shared by the L2 and
-	// LLC of one Core; installAt and invalidateAll keep it current. Nil
-	// on the exact (L1) level.
-	dir *residencyDir
 	// tags[set*ways+way] holds tag<<1|1 (bit 0 = valid); 0 means invalid.
 	tags []uint32
 	// stamps[set*ways+way] is the slot's last-use clock, kept dense so
 	// the full-set LRU pass walks one or two host cache lines.
 	stamps []uint64
-	// ready[set*ways+way] is the cycle at which the slot's fill
-	// completes; accesses earlier than this stall for the remainder.
-	ready []uint64
-	// pref[set*ways+way] marks lines installed by a prefetch that have
-	// not yet served a demand access, for PMU efficacy accounting. Only
-	// the L1 ever sets it, so outer levels leave it nil.
-	pref []bool
+	// fill[set*ways+way] is the slot's fill bookkeeping, touched only on
+	// hits and installs.
+	fill []fillMeta
+	// epoch is the owning core's eviction epoch, bumped by every install
+	// that displaces a valid line (a private counter on standalone
+	// caches).
+	epoch *uint64
+	// exact selects the shadow-index strategy; when false lookups scan
+	// and shadow/lines stay nil.
+	exact bool
+	// lines[set*ways+way] holds the slot's resident line as line<<1|1
+	// (0 = empty), the verification target for shadow probes. Packing
+	// validity into the value makes verification one load: an empty
+	// slot holds 0, which no vline equals. Exact levels only.
+	lines []uint64
+	// shadow[hash(line)] holds slot+1 (0 = unset), last-writer-wins.
+	// Exact levels only.
+	shadow []int32
+	// shadowShift maps a Fibonacci-hashed line's top bits onto shadow.
+	shadowShift uint
+}
 
-	// Exact-index state (L1 only; nil/zero on outer levels).
-	//
-	// kv forms the exact L1 map: an open-addressed, Fibonacci-hashed
-	// table of interleaved pairs — kv[2i] = gen<<l1GenShift +
-	// (line<<1|1) and kv[2i+1] = the line's slot. Key and slot share
-	// one 16-byte pair, so a probe (hit or miss) touches a single host
-	// cache line. Unlike a hint table it is authoritative for
-	// *negatives* too — a probe ending at a free slot IS the L1 miss,
-	// so the demand-miss path never scans a tag set. Linear probing,
-	// backward-shift deletion (the displaced entry's home is recomputed
-	// from the line embedded in its own key — no tag read), sized at
-	// four times the slot count so the load factor stays at one
-	// quarter. The generation term makes resetExact O(1): bumping gen
-	// turns every current key stale by arithmetic (see resetExact), and
-	// probes treat stale entries exactly like empty ones — correct
-	// because inserts reuse them as free, so a live cluster never spans
-	// a stale slot.
-	kv []uint64
-	// pos[slot] is the pair index of the map entry naming slot, exact
-	// whenever tags[slot] is valid (insExact and the deletion shifts
-	// keep it current; after resetExact it is garbage, but so are the
-	// tags that would consult it). It lets a fill delete its victim's
-	// entry with no find probe at all.
-	pos []uint32
-	// mapMask wraps pair indexes: number of pairs minus one.
-	mapMask uint64
-	// mapShift maps a Fibonacci-hashed line's top bits onto pair indexes.
-	mapShift uint
-	// gen counts resets this epoch; genw is gen<<l1GenShift, the term
-	// added to every key written this epoch.
-	gen  uint64
-	genw uint64
+// fillMeta is the fill state of one cache slot.
+type fillMeta struct {
+	// readyAt is the cycle at which the line's fill completes; accesses
+	// earlier than this stall for the remainder.
+	readyAt uint64
+	// prefetched marks lines installed by a prefetch that have not yet
+	// served a demand access, for PMU efficacy accounting.
+	prefetched bool
 }
 
 // fibMul is the 64-bit Fibonacci hashing multiplier used to spread line
-// numbers over the residency directory and the exact L1 map.
+// numbers over the shadow index.
 const fibMul = 0x9e3779b97f4a7c15
 
-const (
-	// l1GenShift places the generation term of a key above the widest
-	// possible line<<1|1 payload (installed lines are bounded below 2^46
-	// by fillExact, so the payload is below 2^47).
-	l1GenShift = 47
-	// l1GenMax is the generation count at which resetExact wraps gen to
-	// zero and memsets the map, so gen<<l1GenShift never overflows and
-	// stale keys from earlier epochs never survive a wrap.
-	l1GenMax = 1 << (64 - l1GenShift - 1)
-	// maxL1Line bounds installable line numbers so the generation
-	// arithmetic above is exact (mirrors the compact-tag bound in tagOf;
-	// 2^46 lines is exabytes of address space).
-	maxL1Line = 1 << 46
-)
-
-// newExactCache builds the L1: the level carrying the exact map, with
-// no directory membership. The map is sized at four times the slot
-// count (next power of two), keeping probes near a single touch.
-func newExactCache(cfg CacheConfig) *cache {
-	c := newLevel(cfg)
-	c.pref = make([]bool, len(c.tags))
-	size := 1
-	for size < len(c.tags)*4 {
-		size <<= 1
-	}
-	shift := uint(64)
-	for 1<<(64-shift) < size {
-		shift--
-	}
-	c.kv = make([]uint64, 2*size)
-	c.pos = make([]uint32, len(c.tags))
-	c.mapMask = uint64(size - 1)
-	c.mapShift = shift
-	return c
-}
-
-// newOuterCache builds an outer level (L2 or LLC). levelShift selects
-// the level's slot field in directory entries; dir is the Core's shared
-// outer-level residency directory (tests may attach a private one).
-func newOuterCache(cfg CacheConfig, levelShift uint, dir *residencyDir) *cache {
-	c := newLevel(cfg)
-	c.levelShift = levelShift
-	c.dir = dir
-	return c
-}
-
-func newLevel(cfg CacheConfig) *cache {
+func newCache(cfg CacheConfig, exact bool) *cache {
 	sets := cfg.Sets()
 	n := sets * cfg.Ways
 	shift := uint(0)
 	for 1<<shift < sets {
 		shift++
 	}
-	return &cache{
+	c := &cache{
 		cfg:      cfg,
 		sets:     sets,
 		ways:     cfg.Ways,
@@ -154,8 +103,24 @@ func newLevel(cfg CacheConfig) *cache {
 		setShift: shift,
 		tags:     make([]uint32, n),
 		stamps:   make([]uint64, n),
-		ready:    make([]uint64, n),
+		fill:     make([]fillMeta, n),
+		epoch:    new(uint64),
+		exact:    exact,
 	}
+	if exact {
+		size := 1
+		for size < n*4 {
+			size <<= 1
+		}
+		c.lines = make([]uint64, n)
+		c.shadow = make([]int32, size)
+		sshift := uint(64)
+		for 1<<(64-sshift) < size {
+			sshift--
+		}
+		c.shadowShift = sshift
+	}
+	return c
 }
 
 // tagOf packs line into its stored tag. Compact tags require line
@@ -169,98 +134,20 @@ func (c *cache) tagOf(line uint64) uint32 {
 	return uint32(t)<<1 | 1
 }
 
-// lineOf recovers the resident line of a valid slot from its compact
-// tag and the slot's set index — the inverse of tagOf. This is how an
-// install has the evicted line in hand without any scan.
-func (c *cache) lineOf(slot int) uint64 {
-	return uint64(c.tags[slot]>>1)<<c.setShift | uint64(slot/c.ways)
-}
-
-// findExact returns the slot of line, or -1, through the exact map. The
-// home probe usually decides — a key match is the hit, a free or stale
-// slot is the miss — and only hash-collision overflow walks further.
-// The fast paths in core.go and planops.go inline the home compare and
-// call here only when it fails, so this starts at home again (one
-// redundant warm load, no branch asymmetry). Exact-map levels only.
-func (c *cache) findExact(line uint64) int {
-	key := c.genw + (line<<1 | 1)
-	i := (line * fibMul) >> c.mapShift
-	for {
-		k := c.kv[2*i]
-		if k == key {
-			return int(c.kv[2*i+1])
-		}
-		if k&1 == 0 || k>>l1GenShift != c.gen {
-			return -1
-		}
-		i = (i + 1) & c.mapMask
-	}
-}
-
-// insExact adds line → slot to the exact map. The caller guarantees
-// line is not present (fills only install non-resident lines, after
-// delExact has dropped the victim). Free and stale slots are
-// interchangeable targets, which is what keeps probe clusters from ever
-// spanning a stale slot.
-func (c *cache) insExact(line uint64, slot int) {
-	i := (line * fibMul) >> c.mapShift
-	for {
-		k := c.kv[2*i]
-		if k&1 == 0 || k>>l1GenShift != c.gen {
-			c.kv[2*i] = c.genw + (line<<1 | 1)
-			c.kv[2*i+1] = uint64(slot)
-			c.pos[slot] = uint32(i)
-			return
-		}
-		i = (i + 1) & c.mapMask
-	}
-}
-
-// delExactAt removes the map entry at pair index i (located by the
-// caller through pos — no find probe) by backward-shift deletion: live
-// entries after the hole that hash at or before it move back, so probes
-// need no tombstones. A displaced entry's home position comes from the
-// line embedded in its own key — the map is self-describing, no tag
-// array is read — and its slot's pos follows it.
-func (c *cache) delExactAt(i uint64) {
-	j := i
-	for {
-		j = (j + 1) & c.mapMask
-		k := c.kv[2*j]
-		if k&1 == 0 || k>>l1GenShift != c.gen {
-			break
-		}
-		// The entry at j may fill the hole at i only if its home does
-		// not lie cyclically within (i, j] — otherwise a probe for it
-		// starting at home would stop at the new hole j first.
-		h := (((k - c.genw) >> 1) * fibMul) >> c.mapShift
-		if (j-h)&c.mapMask >= (j-i)&c.mapMask {
-			c.kv[2*i] = k
-			s := c.kv[2*j+1]
-			c.kv[2*i+1] = s
-			c.pos[s] = uint32(i)
-			i = j
-		}
-	}
-	c.kv[2*i] = 0
-}
-
-// lookup returns the slot index of line, or -1, through the level's
-// production structure: the exact index on L1, a directory probe
-// filtered to this level's field on outer levels.
-func (c *cache) lookup(line uint64) int {
-	if c.dir == nil {
-		return c.findExact(line)
-	}
-	return int((c.dir.get(line)>>c.levelShift)&dirSlotMask) - 1
-}
-
-// find returns the slot of line, or -1, by the verification-twin dense
-// tag scan. An invalid tag ends the scan early because valid ways
-// always form a prefix of the set: installs fill the lowest-index
-// invalid way and lines are never invalidated individually (only
-// invalidateAll).
+// find returns the slot of line, or -1. Exact levels answer shadow hits
+// with one verified probe and fall to the set scan otherwise; scanned
+// levels scan the set's dense tags directly. An invalid tag ends any
+// scan early because valid ways always form a prefix of the set:
+// installs fill the lowest-index invalid way and lines are never
+// invalidated individually (only invalidateAll).
 func (c *cache) find(line uint64) int {
+	if c.exact {
+		h := (line * fibMul) >> c.shadowShift
+		if s := int(c.shadow[h]) - 1; s >= 0 && c.lines[s] == line<<1|1 {
+			return s
+		}
+		return c.scanExact(line, h)
+	}
 	base := int(line&c.setMask) * c.ways
 	want := c.tagOf(line)
 	tags := c.tags[base : base+c.ways]
@@ -275,15 +162,55 @@ func (c *cache) find(line uint64) int {
 	return -1
 }
 
+// scanExact is the exact-level fallback scan after a shadow miss at
+// hash position h: a dense tag scan of line's set, repairing the shadow
+// entry on a hit so a collision-evicted shortcut heals itself.
+func (c *cache) scanExact(line uint64, h uint64) int {
+	base := int(line&c.setMask) * c.ways
+	want := c.tagOf(line)
+	tags := c.tags[base : base+c.ways]
+	for w, tag := range tags {
+		if tag == want {
+			s := base + w
+			c.shadow[h] = int32(s + 1)
+			return s
+		}
+		if tag == 0 {
+			return -1
+		}
+	}
+	return -1
+}
+
 // probe returns the hit slot of line (or -1) and the victim slot an
-// install into line's set would use (-1 on a hit), by the
-// verification-twin scan. The victim choice is exactly the historical
-// install policy: the lowest-index invalid way if one exists, else the
-// way with the strictly smallest LRU stamp (ties to the lowest index).
-// The LRU stamp pass runs only on a miss in a full set — the one case
-// that actually evicts.
+// install into line's set would use (-1 on a hit). The victim choice is
+// exactly the install policy: the lowest-index invalid way if one
+// exists, else the way with the strictly smallest LRU stamp (ties to
+// the lowest index). The LRU stamp pass runs only on a miss in a full
+// set — the one case that actually evicts.
 func (c *cache) probe(line uint64) (slot, victim int) {
 	base := int(line&c.setMask) * c.ways
+	if c.exact {
+		h := (line * fibMul) >> c.shadowShift
+		if s := int(c.shadow[h]) - 1; s >= 0 && c.lines[s] == line<<1|1 {
+			return s, -1
+		}
+		want := c.tagOf(line)
+		tags := c.tags[base : base+c.ways]
+		for w, tag := range tags {
+			if tag == want {
+				s := base + w
+				c.shadow[h] = int32(s + 1)
+				return s, -1
+			}
+			if tag == 0 {
+				// Valid ways are a prefix (see find), so no hit lies
+				// beyond and this is the lowest-index invalid way.
+				return -1, base + w
+			}
+		}
+		return -1, c.lruOf(base)
+	}
 	want := c.tagOf(line)
 	tags := c.tags[base : base+c.ways]
 	for w, tag := range tags {
@@ -332,8 +259,7 @@ func (c *cache) lruOf(base int) int {
 	return victim
 }
 
-// touch records a use of slot at the given clock for LRU ordering. The
-// lookup structures need no update: the line's slot does not change.
+// touch records a use of slot at the given clock for LRU ordering.
 func (c *cache) touch(slot int, now uint64) {
 	c.stamps[slot] = now
 }
@@ -342,118 +268,42 @@ func (c *cache) touch(slot int, now uint64) {
 // returns the slot. readyAt is the cycle the fill completes (== now for
 // demand fills, later for prefetch fills).
 func (c *cache) install(line, now, readyAt uint64) int {
-	slot := c.find(line)
+	slot, victim := c.probe(line)
 	if slot < 0 {
-		slot = c.victimOf(line)
+		slot = victim
 	}
 	c.installAt(slot, line, now, readyAt)
 	return slot
 }
 
-// installAt fills a victim slot previously returned by probe/victimOf,
-// keeping the level's lookup structure current: on outer levels the
-// evicted line (recovered from the slot's compact tag — always in hand,
-// no scan) drops this level's directory field and the incoming line
-// gains it; on the exact level the victim's map entry is replaced by
-// the incoming line's. The caller guarantees no install or touch hit
-// this set between the victim choice and the fill, so the choice is
-// still current.
+// installAt fills a victim slot previously returned by probe or
+// victimOf, keeping the lookup shortcut current: exact levels record the
+// slot's new line and point its shadow entry here (the evicted line's
+// entry needs no cleanup — it fails verification from now on).
+// Displacing a valid line advances the eviction epoch. The caller
+// guarantees no install or touch hit this set between the victim choice
+// and the fill, so the choice is still current.
 func (c *cache) installAt(slot int, line, now, readyAt uint64) {
-	if c.dir == nil {
-		c.fillExact(slot, line, now, readyAt)
-		return
-	}
-	c.fillSlot(slot, line, now, readyAt)
-	c.dir.set(line, c.levelShift, slot)
-}
-
-// fillSlot is the outer-level installAt without the incoming line's
-// directory update: the victim's field is cleared here (the evicted
-// line is in hand from the slot's compact tag, read before the tag is
-// overwritten), but recording the new residency is left to the
-// caller. The DRAM fill paths use this to batch the
-// incoming line's directory fields — one setFields probe for the whole
-// fill instead of one per level. The directory is inconsistent (missing
-// the new line's field) until that call, so callers must not probe it
-// for this line in between.
-func (c *cache) fillSlot(slot int, line, now, readyAt uint64) {
-	if old := c.tags[slot]; old != 0 {
-		c.dir.clear(uint64(old>>1)<<c.setShift|(line&c.setMask), c.levelShift, slot)
-	}
-	c.tags[slot] = c.tagOf(line)
-	c.stamps[slot] = now
-	c.ready[slot] = readyAt
-}
-
-// fillExact is the exact-level fill: no directory traffic at all — the
-// victim leaves the map (its line recovered from the slot's compact
-// tag, still hot from the victim scan) and the incoming line takes the
-// slot. All the maintenance lands in the ~24 KiB map and the dense
-// per-slot arrays, which stay resident in the host's own cache: L1
-// churn, the hottest maintenance in the simulator, never touches the
-// megabyte-scale directory.
-func (c *cache) fillExact(slot int, line, now, readyAt uint64) {
-	if line >= maxL1Line {
-		panic("sim: line address too large for the exact L1 index")
-	}
 	if c.tags[slot] != 0 {
-		c.delExactAt(uint64(c.pos[slot]))
+		*c.epoch++
+	}
+	if c.exact {
+		c.lines[slot] = line<<1 | 1
+		c.shadow[(line*fibMul)>>c.shadowShift] = int32(slot + 1)
 	}
 	c.tags[slot] = c.tagOf(line)
 	c.stamps[slot] = now
-	c.ready[slot] = readyAt
-	c.pref[slot] = false
-	c.insExact(line, slot)
+	c.fill[slot] = fillMeta{readyAt: readyAt}
 }
 
-// resetExact invalidates the exact level in O(tag bytes): the tags
-// memset (2 KiB for the default L1) empties every set for the twin
-// scans and victim machinery, and the generation bump turns every map
-// key stale without touching them. Staleness is exact by arithmetic: a
-// stored key is g'·2^47 + (x<<1|1) with x < 2^46 (fillExact's bound)
-// and a lookup compares against g·2^47 + (q<<1|1) with q < 2^58 (any
-// uint64 address >> lineShift) — equality forces (g-g')·2^47 ≡ (x-q)·2
-// (mod 2^64), which with those bounds has no solution for g' ≠ g, so
-// only current-epoch keys ever match; gen wraps through a keys memset
-// before the shifted term could overflow. Stale stamps/ready/pref
-// words are unreachable rather than cleared: stamps are only read by
-// the LRU pass over a *full* set (all ways re-filled after the reset,
-// stamps rewritten), and ready/pref only for a slot a lookup just
-// resolved (valid key ⇒ re-filled after the reset). The reset-vs-fresh
-// differential test holds the whole core to bit-identical behavior on
-// exactly this point.
-func (c *cache) resetExact() {
-	c.gen++
-	if c.gen == l1GenMax {
-		c.gen = 0
-		for i := range c.kv {
-			c.kv[i] = 0
-		}
-	}
-	c.genw = c.gen << l1GenShift
-	for i := range c.tags {
-		c.tags[i] = 0
-	}
-}
-
-// invalidateAll clears every line (and, on outer levels, this level's
-// directory fields); whole-level invalidation for tests and twins —
-// Core.Reset uses the cheaper sweepReset/resetExact combination.
+// invalidateAll empties the level; used by Core.Reset. Only the
+// validity words are cleared: stale stamps are read solely by the LRU
+// pass over a full set (every way re-installed, and so re-stamped,
+// since), stale fill words solely for a slot a lookup just resolved
+// (re-installed since, which rewrites them), and stale shadow entries
+// fail verification against the cleared lines. The reset-vs-fresh and
+// reference-model tests pin the equivalence.
 func (c *cache) invalidateAll() {
-	if c.dir == nil {
-		c.resetExact()
-		return
-	}
-	c.dir.clearLevel(c.levelShift)
-	for i := range c.tags {
-		c.tags[i] = 0
-		c.stamps[i] = 0
-		c.ready[i] = 0
-	}
-}
-
-// resident reports whether line is present (regardless of fill state),
-// by the verification-twin scan.
-func (c *cache) resident(line uint64) bool {
-	return c.find(line) >= 0
+	clear(c.tags)
+	clear(c.lines)
 }

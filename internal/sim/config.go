@@ -16,6 +16,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -25,6 +26,11 @@ const LineBytes = 64
 
 // lineShift is log2(LineBytes), used to convert addresses to line numbers.
 const lineShift = 6
+
+// maxLevelSlots bounds each level's line capacity (2^21-1 lines, just
+// under 128 MiB), so a config cannot make NewCore allocate without
+// limit: a level's tag, stamp and fill arrays cost 28 bytes per slot.
+const maxLevelSlots = 1<<21 - 1
 
 // CacheConfig describes one level of the cache hierarchy.
 type CacheConfig struct {
@@ -58,9 +64,9 @@ func (c CacheConfig) validate() error {
 	if bits.OnesCount(uint(sets)) != 1 {
 		return fmt.Errorf("sim: cache %s: set count %d is not a power of two", c.Name, sets)
 	}
-	if c.slots() > dirSlotMask {
-		return fmt.Errorf("sim: cache %s: %d slots exceed the residency directory's per-level field (max %d lines, %d MiB)",
-			c.Name, c.slots(), dirSlotMask, dirSlotMask*LineBytes>>20)
+	if c.slots() > maxLevelSlots {
+		return fmt.Errorf("sim: cache %s: %d lines exceed the per-level capacity limit (max %d lines, %d MiB)",
+			c.Name, c.slots(), maxLevelSlots, maxLevelSlots*LineBytes>>20)
 	}
 	return nil
 }
@@ -135,8 +141,8 @@ func (c Config) Validate() error {
 	if c.IssueWidth == 0 {
 		return fmt.Errorf("sim: issue width must be positive")
 	}
-	if c.FreqHz <= 0 {
-		return fmt.Errorf("sim: frequency must be positive")
+	if !(c.FreqHz > 0) || math.IsInf(c.FreqHz, 1) {
+		return fmt.Errorf("sim: frequency must be positive and finite")
 	}
 	return nil
 }

@@ -7,17 +7,20 @@ import (
 
 // TestCorePoolRecycles pins the pool mechanics: Put then Get returns
 // the same core, detached from its observation hooks and reset, and
-// Stats counts construction vs. reuse.
+// Stats counts construction vs. reuse. The recycled core must then
+// replay a randomized stream in lockstep with a fresh reference model.
 func TestCorePoolRecycles(t *testing.T) {
-	p := NewCorePool(DefaultConfig())
+	cfg := DefaultConfig()
+	p := NewCorePool(cfg)
 	c1, err := p.Get()
 	if err != nil {
 		t.Fatal(err)
 	}
 	c1.SetTracer(countingTracer{})
 	c1.SetAccessLog(func(MemAccess) {})
-	c1.SetScanLookups(true)
-	c1.Read(0x4000, 64)
+	for _, op := range genOps(112, 2000) {
+		apply(c1, op)
+	}
 	p.Put(c1)
 
 	c2, err := p.Get()
@@ -27,8 +30,8 @@ func TestCorePoolRecycles(t *testing.T) {
 	if c2 != c1 {
 		t.Fatal("Get after Put did not recycle the pooled core")
 	}
-	if c2.trc != nil || c2.alog != nil || c2.scan {
-		t.Fatal("recycled core kept observation hooks or scan mode")
+	if c2.trc != nil || c2.alog != nil {
+		t.Fatal("recycled core kept observation hooks")
 	}
 	if c2.Now() != 0 || c2.Counters() != (Counters{}) {
 		t.Fatalf("recycled core not reset: clock %d, counters %+v", c2.Now(), c2.Counters())
@@ -36,6 +39,9 @@ func TestCorePoolRecycles(t *testing.T) {
 	if news, reuses := p.Stats(); news != 1 || reuses != 1 {
 		t.Fatalf("Stats = (%d, %d), want (1, 1)", news, reuses)
 	}
+	ref := newRefCore(cfg)
+	ref.epoch = c2.EvictionEpoch()
+	refLockstep(t, "pooled-vs-reference", c2, ref, genRefOps(113, 10000, hotMidCold), 2048)
 	p.Put(c2)
 	p.Put(nil) // must be a no-op
 }

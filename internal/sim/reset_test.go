@@ -7,12 +7,12 @@ import (
 
 // This file pins the claim Core.Reset makes: a reset core is
 // observationally identical to a freshly constructed one, bit for bit.
-// The generation-stamped reset deliberately leaves stale words behind
-// (old lines entries, old stamps/ready values, untouched pref flags)
-// and relies on them being unreachable; these tests replay randomized
-// op streams on dirty-then-reset cores against fresh cores in lockstep
-// and require identical clocks, counters, residency answers and access
-// logs at every step.
+// Reset clears only the validity words and deliberately leaves stale
+// stamps, fill words and shadow entries behind, relying on them being
+// unreachable; these tests replay randomized op streams on
+// dirty-then-reset cores against fresh cores (and the reference model)
+// in lockstep and require identical clocks, counters, residency
+// answers and access logs at every step.
 
 // coreOp is one randomized public-API operation.
 type coreOp struct {
@@ -22,22 +22,14 @@ type coreOp struct {
 }
 
 // genOps builds a deterministic op stream mixing the hot/mid/cold
-// regions the scan-twin test uses, so streams exercise L1 hits, outer
-// hits, DRAM fills, prefetch (including MSHR saturation), DMA fills,
-// resets of the clock via stalls, and residency probes.
+// regions (hotMidCold), so streams exercise L1 hits, outer hits, DRAM
+// fills, prefetch (including MSHR saturation), DMA fills, stalls and
+// residency probes.
 func genOps(seed int64, n int) []coreOp {
 	rng := rand.New(rand.NewSource(seed))
 	ops := make([]coreOp, n)
 	for i := range ops {
-		var a uint64
-		switch rng.Intn(3) {
-		case 0:
-			a = uint64(rng.Intn(16 << 10))
-		case 1:
-			a = 1<<22 + uint64(rng.Intn(1<<21))
-		default:
-			a = 1<<30 + uint64(rng.Intn(1<<28))
-		}
+		a := hotMidCold(rng)
 		ops[i] = coreOp{
 			kind: byte(rng.Intn(10)),
 			addr: a,
@@ -47,9 +39,12 @@ func genOps(seed int64, n int) []coreOp {
 	return ops
 }
 
-// apply runs one op; for residency probes it returns the answer so the
-// caller can compare across cores.
-func apply(c *Core, op coreOp) (res bool) {
+// apply runs one op on the core; for queries (residency probes, the
+// MSHR horizon, the eviction epoch, plan probes and issues) it returns
+// the answer so callers can compare across cores and against the
+// reference model (applyRef in ref_test.go). genOps draws only kinds
+// 0-9; the rest are opReset and up.
+func apply(c *Core, op coreOp) uint64 {
 	switch op.kind {
 	case 0:
 		c.Stall(17)
@@ -64,15 +59,37 @@ func apply(c *Core, op coreOp) (res bool) {
 	case 5:
 		c.DMAFill(op.addr, op.size)
 	case 6:
-		res = c.ResidentL1(op.addr, op.size)
+		return b2u(c.ResidentL1(op.addr, op.size))
 	case 7:
-		res = c.ResidentL1Line(op.addr)
+		return b2u(c.ResidentL1Line(op.addr))
 	case 8:
 		c.Write(op.addr, op.size)
+	case opReset:
+		c.Reset()
+	case opStallWake:
+		c.StallWake(op.size)
+	case opEarliestMSHR:
+		return c.EarliestMSHRReady()
+	case opEpoch:
+		return c.EvictionEpoch()
+	case opReadSpans:
+		bases, _, spans := planOf(op)
+		c.ReadSpans(&bases, spans)
+	case opWriteSpans:
+		bases, _, spans := planOf(op)
+		c.WriteSpans(&bases, spans)
+	case opFirstNonResident:
+		bases, fetch, _ := planOf(op)
+		return uint64(c.FirstNonResident(&bases, fetch) + 1)
+	case opIssueFetch:
+		// Issue with the miss index a fresh residency walk reports, as
+		// model.EnsurePrefetched does, so the probe-skipping path runs.
+		bases, fetch, _ := planOf(op)
+		return c.IssueFetch(&bases, fetch, c.FirstNonResident(&bases, fetch))
 	default:
 		c.Read(op.addr, op.size)
 	}
-	return res
+	return 0
 }
 
 // dirtyCore returns a core that has run `cycles` rounds of a polluting
@@ -155,42 +172,14 @@ func TestResetEquivalenceAccessLog(t *testing.T) {
 	}
 }
 
-// TestResetEquivalenceScanTwin replays on reset cores in scan-lookup
-// mode, covering the dense-scan side of the reset (zeroed tags with
-// stale stamps/ready must scan identically to a fresh core's all-zero
-// arrays).
+// TestResetEquivalenceScanTwin replays on a reset core against the
+// reference model rather than a fresh core: zeroed validity words over
+// stale stamps, fill words and shadow entries must behave exactly like
+// the model's empty sets, slot for slot, with resets mid-stream.
 func TestResetEquivalenceScanTwin(t *testing.T) {
 	cfg := DefaultConfig()
 	dirty := dirtyCore(t, cfg, 505, 2)
-	fresh, err := NewCore(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirty.SetScanLookups(true)
-	fresh.SetScanLookups(true)
-	lockstep(t, "scantwin", dirty, fresh, genOps(606, 20000))
-}
-
-// TestResetGenerationWrap forces the L1 generation counter across its
-// wrap boundary (where lines is memset and gen returns to zero) and
-// requires reset-vs-fresh equivalence on both sides of it.
-func TestResetGenerationWrap(t *testing.T) {
-	cfg := DefaultConfig()
-	dirty := dirtyCore(t, cfg, 707, 1)
-	// Jump to just below the wrap, then cross it with real resets.
-	dirty.l1.gen = l1GenMax - 2
-	for i := 0; i < 4; i++ {
-		for _, op := range genOps(808+int64(i), 2000) {
-			apply(dirty, op)
-		}
-		dirty.Reset()
-	}
-	if g := dirty.l1.gen; g >= l1GenMax-2 {
-		t.Fatalf("generation did not wrap: %d", g)
-	}
-	fresh, err := NewCore(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lockstep(t, "genwrap", dirty, fresh, genOps(909, 20000))
+	ref := newRefCore(cfg)
+	ref.epoch = dirty.EvictionEpoch()
+	refLockstep(t, "reset-vs-reference", dirty, ref, genRefOps(606, 20000, hotMidCold), 2048)
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -38,15 +39,18 @@ func TestConfigValidate(t *testing.T) {
 		{"non pow2 sets L2", func(c *Config) { c.L2.SizeBytes = 3 << 20 }, "not a power of two"},
 		{"size not line multiple", func(c *Config) { c.L1.SizeBytes = 1000 }, "not a multiple of ways*line"},
 		{"size not way multiple", func(c *Config) { c.LLC.SizeBytes = 2<<20 + 64 }, "not a multiple of ways*line"},
-		// 256 MiB of 64 B lines is 4M slots — past the residency
-		// directory's 21-bit per-level slot field.
-		{"directory capacity", func(c *Config) { c.LLC.SizeBytes = 256 << 20 }, "residency directory"},
+		// 256 MiB of 64 B lines is 4M slots — past the 2^21-slot
+		// per-level allocation bound (the case keeps the name of the
+		// residency directory whose slot field once set the bound).
+		{"directory capacity", func(c *Config) { c.LLC.SizeBytes = 256 << 20 }, "per-level capacity limit"},
 		{"zero dram", func(c *Config) { c.DRAMLatency = 0 }, "DRAM latency must be positive"},
 		{"zero mshr", func(c *Config) { c.MSHRs = 0 }, "MSHR count must be positive"},
 		{"negative mshr", func(c *Config) { c.MSHRs = -1 }, "MSHR count must be positive"},
 		{"zero width", func(c *Config) { c.IssueWidth = 0 }, "issue width must be positive"},
 		{"zero freq", func(c *Config) { c.FreqHz = 0 }, "frequency must be positive"},
 		{"negative freq", func(c *Config) { c.FreqHz = -1 }, "frequency must be positive"},
+		{"nan freq", func(c *Config) { c.FreqHz = math.NaN() }, "frequency must be positive and finite"},
+		{"inf freq", func(c *Config) { c.FreqHz = math.Inf(1) }, "frequency must be positive and finite"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -1,100 +1,21 @@
 package sim
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
-// TestScanTwinCore drives two cores — one resolving lookups through the
-// unified residency directory (with its inlined fast paths active), one
-// routed through the historical dense tag scans — through the same
-// randomized stream of public-API operations and requires identical
-// counters, clocks and residency answers after every operation. This is
-// the twin check with the production fast paths in play: the model-level
-// differential replay attaches an access log, which disables the inlined
-// L1 probes, so this test is what pins them.
+// TestScanTwinCore drives a core with its production fast paths active
+// (no access log attached, so Read/Write/ReadSpans take the inlined
+// shadow-index probes) and the reference model (ref_test.go) through
+// the same 120k-op randomized stream of public-API operations, resets
+// included, and requires identical answers and clocks after every
+// operation and identical counters, eviction epochs and per-slot level
+// contents periodically. The model-level differential replay attaches
+// an access log, which disables the inlined L1 probes, so this test is
+// what pins them.
 func TestScanTwinCore(t *testing.T) {
 	cfg := DefaultConfig()
-	dc, err := NewCore(cfg)
+	c, err := NewCore(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := NewCore(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc.SetScanLookups(true)
-
-	rng := rand.New(rand.NewSource(3))
-	// Hot region smaller than L1 (steady hits), cold region far beyond
-	// the LLC (full miss path), and a mid region for L2/LLC residency.
-	hot := func() uint64 { return uint64(rng.Intn(16 << 10)) }
-	mid := func() uint64 { return 1<<22 + uint64(rng.Intn(1<<21)) }
-	cold := func() uint64 { return 1<<30 + uint64(rng.Intn(1<<28)) }
-	addr := func() uint64 {
-		switch rng.Intn(3) {
-		case 0:
-			return hot()
-		case 1:
-			return mid()
-		default:
-			return cold()
-		}
-	}
-
-	for i := 0; i < 120000; i++ {
-		a := addr()
-		size := uint64(1 + rng.Intn(96))
-		switch rng.Intn(20) {
-		case 0:
-			dc.Stall(30)
-			sc.Stall(30)
-		case 1:
-			insts := uint64(rng.Intn(200))
-			dc.Compute(insts)
-			sc.Compute(insts)
-		case 2:
-			dc.TaskSwitch()
-			sc.TaskSwitch()
-		case 3, 4:
-			dc.Prefetch(a, size)
-			sc.Prefetch(a, size)
-		case 5:
-			dc.PrefetchLine(a)
-			sc.PrefetchLine(a)
-		case 6:
-			dc.DMAFill(a, size)
-			sc.DMAFill(a, size)
-		case 7:
-			if got, want := dc.ResidentL1(a, size), sc.ResidentL1(a, size); got != want {
-				t.Fatalf("op %d: ResidentL1(%#x,%d) directory %v, scan %v", i, a, size, got, want)
-			}
-		case 8:
-			if got, want := dc.ResidentL1Line(a), sc.ResidentL1Line(a); got != want {
-				t.Fatalf("op %d: ResidentL1Line(%#x) directory %v, scan %v", i, a, got, want)
-			}
-		case 9:
-			if rng.Intn(50) == 0 {
-				dc.Reset()
-				sc.Reset()
-			}
-		case 10, 11, 12:
-			dc.Write(a, size)
-			sc.Write(a, size)
-		default:
-			dc.Read(a, size)
-			sc.Read(a, size)
-		}
-		if dn, sn := dc.Now(), sc.Now(); dn != sn {
-			t.Fatalf("op %d: clock diverged: directory %d, scan %d", i, dn, sn)
-		}
-		if i%1024 == 0 {
-			if dctr, sctr := dc.Counters(), sc.Counters(); dctr != sctr {
-				t.Fatalf("op %d: counters diverged:\ndirectory %+v\nscan      %+v", i, dctr, sctr)
-			}
-		}
-	}
-	if dctr, sctr := dc.Counters(), sc.Counters(); dctr != sctr {
-		t.Fatalf("final counters diverged:\ndirectory %+v\nscan      %+v", dctr, sctr)
-	}
+	refLockstep(t, "fastpath-vs-reference", c, newRefCore(cfg), genRefOps(3, 120000, hotMidCold), 8192)
 }
