@@ -31,7 +31,7 @@ lint:
 # enough to catch a benchmark that no longer compiles or allocates,
 # not enough to produce stable numbers (use bench for those).
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 100x ./internal/sim/ ./internal/rt/
+	$(GO) test -run '^$$' -bench . -benchtime 100x ./internal/sim/ ./internal/model/ ./internal/rt/
 
 # bench-compile builds and runs every benchmark in the module exactly
 # once — the CI smoke that catches a benchmark a refactor broke without

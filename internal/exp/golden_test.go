@@ -143,10 +143,11 @@ func (c *countTracer) Event(ev sim.TraceEvent) {
 }
 
 // TestGoldenCountersTraced pins counter-neutrality of the tracing
-// subsystem: with a tracer attached (which routes every hot path
-// through its traced twin — stepTraced, rx/done emission, stall
-// emission), every golden case must still fingerprint to the exact
-// same pinned string, while the tracer demonstrably observes events.
+// subsystem: with a tracer attached (which turns on every emission
+// site — the step plan's action/access/transition events, rx/done
+// emission, stall emission), every golden case must still fingerprint
+// to the exact same pinned string, while the tracer demonstrably
+// observes events.
 func TestGoldenCountersTraced(t *testing.T) {
 	for _, tc := range goldenCases() {
 		t.Run(tc.name, func(t *testing.T) {

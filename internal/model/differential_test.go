@@ -2,12 +2,14 @@ package model_test
 
 // Differential replay: the compiled step-plan executor must drive the
 // simulated core with exactly the access sequence the interpreted
-// reference executor issues. This harness generates randomized programs
-// — random state graphs, random declared spans over every base kind,
-// aligned and unaligned pools — runs each stream through both executors
-// on separate cores with the access log attached, and asserts the
-// (addr, size, kind, cycle) sequences, the PMU counters, the clocks and
-// the access-cycle accounting are identical.
+// reference executor (export_test.go) issues. This harness generates
+// randomized programs — random state graphs, random declared spans over
+// every base kind, aligned and unaligned pools — runs each stream
+// through both executors on separate cores with the access log
+// attached, and asserts the (addr, size, kind, cycle) sequences, the
+// PMU counters, the clocks and the access-cycle accounting are
+// identical. With a recording tracer attached, the trace event streams
+// must be identical too.
 
 import (
 	"math/rand"
@@ -38,6 +40,7 @@ type diffWorld struct {
 // diffResult is everything one executor side produced.
 type diffResult struct {
 	log          []sim.MemAccess
+	events       []sim.TraceEvent
 	ctr          sim.Counters
 	clock        uint64
 	accessCycles uint64
@@ -182,8 +185,13 @@ func replay(t *testing.T, w *diffWorld, s diffSide, packets int) diffResult {
 // before the first packet — the twin tests use it to attach a tracer
 // or to park the eviction epoch at the edge of wraparound.
 func replayConfigured(t *testing.T, w *diffWorld, s diffSide, packets int, configure func(*sim.Core)) diffResult {
+	return replayOn(t, w, s, packets, sim.DefaultConfig(), configure)
+}
+
+// replayOn is replayConfigured on a core built from cfg.
+func replayOn(t *testing.T, w *diffWorld, s diffSide, packets int, cfg sim.Config, configure func(*sim.Core)) diffResult {
 	t.Helper()
-	core, err := sim.NewCore(sim.DefaultConfig())
+	core, err := sim.NewCore(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,6 +242,33 @@ func replayConfigured(t *testing.T, w *diffWorld, s diffSide, packets int, confi
 	res.ctr = core.Counters()
 	res.clock = core.Now()
 	return res
+}
+
+// recordTracer keeps every trace event in emission order.
+type recordTracer struct{ events []sim.TraceEvent }
+
+func (r *recordTracer) Event(ev sim.TraceEvent) { r.events = append(r.events, ev) }
+
+// replayTraced is replayOn with a recording tracer attached; the
+// result carries the trace event stream.
+func replayTraced(t *testing.T, w *diffWorld, s diffSide, packets int, cfg sim.Config) diffResult {
+	t.Helper()
+	var rec recordTracer
+	res := replayOn(t, w, s, packets, cfg, func(c *sim.Core) { c.SetTracer(&rec) })
+	res.events = rec.events
+	return res
+}
+
+// smallHierarchy returns a core configuration whose L1 (2 lines) and
+// L2 (4 lines) are far smaller than a random program's footprint,
+// while its LLC holds all of it. Lines evicted from L2 come back as
+// LLC hits, so L2 and LLC miss counts differ, as do L1 and L2 counts,
+// and a trace attribution that confused the levels shows.
+func smallHierarchy() sim.Config {
+	cfg := sim.DefaultConfig()
+	cfg.L1 = sim.CacheConfig{Name: "L1d", SizeBytes: 1 * 2 * sim.LineBytes, Ways: 2, HitLatency: 4}
+	cfg.L2 = sim.CacheConfig{Name: "L2", SizeBytes: 2 * 2 * sim.LineBytes, Ways: 2, HitLatency: 14}
+	return cfg
 }
 
 // sides returns the compiled and interpreted executor entry points for
@@ -297,6 +332,52 @@ func TestDifferentialReplay(t *testing.T) {
 		compiled, interpreted := sides(w)
 		want := replay(t, w, interpreted, packets)
 		diffCompare(t, n, "compiled", replay(t, w, compiled, packets), want)
+	}
+}
+
+// TestDifferentialReplayTraced replays randomized programs with a
+// recording tracer attached, on the default hierarchy and on a small
+// one where L2 misses hit in the LLC. The compiled executor's event
+// stream — action begin/end, per-span access attribution (stall, L1
+// and LLC misses), transitions and the core's own prefetch and stall
+// events — must equal the interpreted traced oracle's in every field,
+// and the traced compiled run must still be bit-identical to the
+// untraced interpreted reference.
+func TestDifferentialReplayTraced(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	configs := []struct {
+		name string
+		cfg  sim.Config
+	}{{"default", sim.DefaultConfig()}, {"small", smallHierarchy()}}
+	llcHits := 0
+	for n := 0; n < diffPrograms; n++ {
+		w := buildRandomProgram(t, rng)
+		packets := 2 + rng.Intn(3)
+		compiled, interpreted := sides(w)
+		for _, c := range configs {
+			got := replayTraced(t, w, compiled, packets, c.cfg)
+			oracle := replayTraced(t, w, interpreted, packets, c.cfg)
+			if len(oracle.events) == 0 {
+				t.Fatalf("program %d (%s): traced oracle emitted no events", n, c.name)
+			}
+			if len(got.events) != len(oracle.events) {
+				t.Fatalf("program %d (%s): %d events compiled vs %d oracle", n, c.name, len(got.events), len(oracle.events))
+			}
+			for i := range oracle.events {
+				if got.events[i] != oracle.events[i] {
+					t.Fatalf("program %d (%s) event %d: compiled %+v != oracle %+v", n, c.name, i, got.events[i], oracle.events[i])
+				}
+			}
+			diffCompare(t, n, "compiled/traced/"+c.name, got, replayOn(t, w, interpreted, packets, c.cfg, nil))
+			if got.ctr.L2Misses > got.ctr.LLCMisses {
+				llcHits++
+			}
+		}
+	}
+	// The small hierarchy exists to separate L2 from LLC misses; if no
+	// program got an LLC hit, the attribution's LLC field went untested.
+	if llcHits < diffPrograms/2 {
+		t.Fatalf("only %d of %d programs had an L2 miss served by the LLC", llcHits, diffPrograms)
 	}
 }
 

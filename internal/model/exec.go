@@ -97,11 +97,11 @@ type Exec struct {
 	Reprobed bool
 	// Done reports stream completion (CS reached End).
 	Done bool
-	// bases is the compiled executors' base-table scratch (see
-	// plan.go). It lives here so each phase fills only the entries its
-	// mask names instead of zeroing a fresh table: entry pbStatic is
-	// never written and stays zero, and stale entries are never read
-	// because every op's base index is covered by its phase's mask.
+	// bases is the step plans' base-table scratch, indexed by BaseKind
+	// (see plan.go). It lives here so each phase fills only the slots
+	// its mask names instead of zeroing a fresh table: the BaseControl
+	// slot is never written and stays zero, and stale slots are never
+	// read because every op's base is covered by its phase's mask.
 	bases [8]uint64
 }
 

@@ -331,6 +331,22 @@ func TestBuildErrors(t *testing.T) {
 	if _, err := b.Build(); err == nil {
 		t.Fatal("conflicting transitions accepted")
 	}
+
+	// Spans the step plan cannot execute: an out-of-range base, and a
+	// pool base whose module binds no pool. The error names the CS.
+	for name, ref := range map[string]FieldRef{
+		"invalid base":      Raw(KindMatch, BaseKind(99), 0, 8),
+		"nil per-flow pool": Raw(KindPerFlow, BasePerFlow, 0, 8),
+		"nil sub-flow pool": Raw(KindSubFlow, BaseSubFlow, 0, 8),
+	} {
+		b = newOK()
+		b.AddState("m", "bad", Action{Name: "bad", Fn: noop, Reads: []FieldRef{ref}})
+		b.AddTransition("m.bad", "done", EndName)
+		_, err := b.Build()
+		if err == nil || !strings.Contains(err.Error(), "m.bad") {
+			t.Errorf("%s: Build error %v, want one naming m.bad", name, err)
+		}
+	}
 }
 
 func TestBuilderUnknownLayoutField(t *testing.T) {
@@ -401,52 +417,6 @@ func TestCoalesceCoversInputs(t *testing.T) {
 	if got[0].Off != 0 || got[0].Size != 64 {
 		t.Fatalf("merged span = %+v, want [0,64)", got[0])
 	}
-}
-
-func TestResolveBases(t *testing.T) {
-	as := mem.NewAddressSpace()
-	pf, err := mem.NewPool(as, "pf", 64, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sf, err := mem.NewPool(as, "sf", 64, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bind := &Binding{PerFlow: pf, SubFlow: sf, Control: mem.Region{Base: 0x7000, Size: 64}}
-	e := &Exec{
-		Pkt:      &pkt.Packet{Addr: 0x9000},
-		FlowIdx:  2,
-		SubIdx:   3,
-		TempAddr: 0xA000,
-	}
-	e.Cur.Addr = 0xB000
-
-	tests := []struct {
-		span Span
-		want uint64
-	}{
-		{Span{BasePerFlow, 8, 8}, pf.MustAddr(2) + 8},
-		{Span{BaseSubFlow, 0, 8}, sf.MustAddr(3)},
-		{Span{BasePacket, 14, 4}, 0x9000 + 14},
-		{Span{BaseControl, 4, 4}, 0x7004},
-		{Span{BaseTemp, 16, 8}, 0xA010},
-		{Span{BaseDynamic, 0, 64}, 0xB000},
-	}
-	for _, tt := range tests {
-		if got := Resolve(tt.span, bind, e); got != tt.want {
-			t.Errorf("Resolve(%+v) = %#x, want %#x", tt.span, got, tt.want)
-		}
-	}
-}
-
-func TestResolveInvalidBasePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Resolve with invalid base did not panic")
-		}
-	}()
-	Resolve(Span{Base: BaseKind(99)}, nil, &Exec{})
 }
 
 func TestResetStream(t *testing.T) {

@@ -7,14 +7,13 @@ import (
 	"github.com/gunfu-nfv/gunfu/internal/sim"
 )
 
-// This file is the step-plan compiler: it lowers each CSInfo, once at
-// program-build time, into a flat stepPlan the hot path executes without
-// re-interpreting span tables. Three things are compiled away:
+// This file is the step-plan compiler and the one step executor. Each
+// CSInfo is lowered, once at program-build time, into a flat stepPlan
+// that Step, PrefetchCurrent, ResidentCurrent and EnsurePrefetched run
+// without re-interpreting span tables. Three things are compiled away:
 //
-//   - Per-span base resolution. Resolve() runs a switch on the span's
-//     BaseKind and (for pool bases) a bounds-checked pool lookup on
-//     every access of every visit. The plan pre-splits spans by base:
-//     each access becomes a (base-table index, pre-added offset) pair,
+//   - Per-span base resolution. The plan pre-splits spans by base:
+//     each access becomes a (base-table slot, pre-added offset) pair,
 //     the per-phase base table is materialized once per phase (reads
 //     resolve before the action, writes after — an action may rebind
 //     FlowIdx or the cursor), and statically-resolvable bases (control
@@ -31,24 +30,17 @@ import (
 //
 // The lowering is a pure representation change: the simulated access
 // sequence — every (addr, size, read/write/prefetch, cycle) the core is
-// charged with — is byte-for-byte the sequence the interpreted executor
-// issues. No access is deduplicated, reordered, split or merged. The
-// differential-replay harness (plandiff_test.go) asserts this against
-// randomized programs; the golden-counter tests in internal/exp pin it
-// for the shipped NFs.
+// charged with — and, with a tracer attached, every trace event are
+// exactly those of the span-interpreting reference executor. No access
+// is deduplicated, reordered, split or merged. The differential-replay
+// harness (differential_test.go, against the oracle in export_test.go)
+// asserts this on randomized programs; the golden-counter tests in
+// internal/exp pin it for the shipped NFs.
 
-// Base-table indexes of a compiled access. pbStatic entries carry their
-// full address in the offset (the table slot stays zero); the rest are
-// filled per phase from the execution context.
-const (
-	pbStatic = iota
-	pbPerFlow
-	pbSubFlow
-	pbPacket
-	pbTemp
-	pbDynamic
-	pbCount
-)
+// Base-table slots are numbered by BaseKind, so an op's Base is its
+// span's kind (the TraceAccess attribution) and bases[kind] is the
+// resolved base address. The BaseControl slot is never written and
+// stays zero: control ops carry their full address in the offset.
 
 // stepPlan is one control state lowered for execution. Ops use the
 // core's compiled-access types (sim.PlanOp, sim.FetchOp) so whole op
@@ -60,8 +52,8 @@ type stepPlan struct {
 	reads  []sim.PlanOp
 	writes []sim.PlanOp
 	fetch  []sim.FetchOp
-	// readMask/writeMask/fetchMask say which base-table entries the
-	// phase needs materialized (bit i = base index i).
+	// readMask/writeMask/fetchMask say which base-table slots the phase
+	// needs materialized (bit i = slot i).
 	readMask  uint8
 	writeMask uint8
 	fetchMask uint8
@@ -106,33 +98,20 @@ func (p *Program) CompilePlans() {
 	p.plans = plans
 }
 
-// lowerBase maps a span onto its base-table index and pre-added offset.
-func lowerBase(s Span, bind *Binding) (base uint8, off uint64) {
-	switch s.Base {
-	case BasePerFlow:
-		return pbPerFlow, s.Off
-	case BaseSubFlow:
-		return pbSubFlow, s.Off
-	case BasePacket:
-		return pbPacket, s.Off
-	case BaseControl:
-		// Statically resolvable: fold the region base into the offset.
-		return pbStatic, bind.Control.Base + s.Off
-	case BaseTemp:
-		return pbTemp, s.Off
-	case BaseDynamic:
-		return pbDynamic, s.Off
-	default:
-		// Defer the failure to execution time, where Resolve produces
-		// the historical diagnostic.
-		return pbStatic, 0
+// lowerOffset returns a span's pre-added offset: control spans fold in
+// their region base, every other base keeps its relative offset.
+// Validate has already rejected bases outside BasePerFlow..BaseDynamic.
+func lowerOffset(s Span, bind *Binding) uint64 {
+	if s.Base == BaseControl {
+		return bind.Control.Base + s.Off
 	}
+	return s.Off
 }
 
-// maskBit returns the base-table fill bit for an access. pbStatic needs
-// no fill (bases[pbStatic] is always zero).
-func maskBit(base uint8) uint8 {
-	if base == pbStatic {
+// maskBit returns the base-table fill bit for a span's slot. Control
+// needs no fill (its slot is always zero).
+func maskBit(base BaseKind) uint8 {
+	if base == BaseControl {
 		return 0
 	}
 	return 1 << base
@@ -148,9 +127,8 @@ func lowerOps(dst []sim.PlanOp, spans []Span, bind *Binding) ([]sim.PlanOp, []si
 	start := len(dst)
 	var mask uint8
 	for _, s := range spans {
-		base, off := lowerBase(s, bind)
-		dst = append(dst, sim.PlanOp{Off: off, Size: s.Size, Base: base})
-		mask |= maskBit(base)
+		dst = append(dst, sim.PlanOp{Off: lowerOffset(s, bind), Size: s.Size, Base: uint8(s.Base)})
+		mask |= maskBit(s.Base)
 	}
 	return dst, dst[start:len(dst):len(dst)], mask
 }
@@ -160,13 +138,13 @@ func lowerOps(dst []sim.PlanOp, spans []Span, bind *Binding) ([]sim.PlanOp, []si
 // decomposing a span into pre-resolved lines: for aligned bases,
 // (base+off)/Line == base/Line + off/Line, so the compile-time line
 // walk enumerates exactly the lines Core.Prefetch would.
-func alignedBase(base uint8, bind *Binding) bool {
+func alignedBase(base BaseKind, bind *Binding) bool {
 	switch base {
-	case pbStatic:
+	case BaseControl:
 		return true // offsets are absolute; lines computed directly
-	case pbPerFlow:
+	case BasePerFlow:
 		return poolAligned(bind.PerFlow)
-	case pbSubFlow:
+	case BaseSubFlow:
 		return poolAligned(bind.SubFlow)
 	default:
 		// Packet, temp and dynamic bases are runtime values with no
@@ -190,9 +168,9 @@ func lowerFetch(dst []sim.FetchOp, spans []Span, bind *Binding) ([]sim.FetchOp, 
 	start := len(dst)
 	var mask uint8
 	for _, s := range spans {
-		base, off := lowerBase(s, bind)
-		mask |= maskBit(base)
-		if s.Size == 0 || !alignedBase(base, bind) {
+		off, base := lowerOffset(s, bind), uint8(s.Base)
+		mask |= maskBit(s.Base)
+		if s.Size == 0 || !alignedBase(s.Base, bind) {
 			dst = append(dst, sim.FetchOp{Off: off, Size: s.Size, Base: base})
 			continue
 		}
@@ -210,11 +188,11 @@ func lowerFetch(dst []sim.FetchOp, spans []Span, bind *Binding) ([]sim.FetchOp, 
 func fetchLen(spans []Span, bind *Binding) int {
 	n := 0
 	for _, s := range spans {
-		base, off := lowerBase(s, bind)
-		if s.Size == 0 || !alignedBase(base, bind) {
+		if s.Size == 0 || !alignedBase(s.Base, bind) {
 			n++
 			continue
 		}
+		off := lowerOffset(s, bind)
 		n += int(((off+s.Size-1)>>lineShift)-(off>>lineShift)) + 1
 	}
 	return n
@@ -226,61 +204,82 @@ const lineShift = 6
 // planBases materializes the base table for one phase into the Exec's
 // persistent scratch. Only the bases the phase's mask names are
 // resolved, so a control state that never touches per-flow state never
-// evaluates the (possibly still unmatched) flow index — the same
-// laziness the per-span Resolve switch had. Entries outside the mask
-// keep whatever a previous phase left (no zeroing): no op reads them,
-// and the always-zero pbStatic entry is never written.
+// evaluates the (possibly still unmatched) flow index. Slots outside
+// the mask keep whatever a previous phase left (no zeroing): no op
+// reads them, and the always-zero BaseControl slot is never written.
 func planBases(e *Exec, bind *Binding, mask uint8) *[8]uint64 {
 	bases := &e.bases
-	if mask&(1<<pbPerFlow) != 0 {
-		bases[pbPerFlow] = bind.PerFlow.AddrAt(e.FlowIdx)
+	if mask&(1<<BasePerFlow) != 0 {
+		bases[BasePerFlow] = bind.PerFlow.AddrAt(e.FlowIdx)
 	}
-	if mask&(1<<pbSubFlow) != 0 {
-		bases[pbSubFlow] = bind.SubFlow.AddrAt(e.SubIdx)
+	if mask&(1<<BaseSubFlow) != 0 {
+		bases[BaseSubFlow] = bind.SubFlow.AddrAt(e.SubIdx)
 	}
-	if mask&(1<<pbPacket) != 0 {
-		bases[pbPacket] = e.Pkt.Addr
+	if mask&(1<<BasePacket) != 0 {
+		bases[BasePacket] = e.Pkt.Addr
 	}
-	if mask&(1<<pbTemp) != 0 {
-		bases[pbTemp] = e.TempAddr
+	if mask&(1<<BaseTemp) != 0 {
+		bases[BaseTemp] = e.TempAddr
 	}
-	if mask&(1<<pbDynamic) != 0 {
-		bases[pbDynamic] = e.Cur.Addr
+	if mask&(1<<BaseDynamic) != 0 {
+		bases[BaseDynamic] = e.Cur.Addr
 	}
 	return bases
 }
 
-// stepCompiled executes one control state through its plan: charge the
-// reads, run the action, charge the writes, take the transition —
-// the same operation sequence as stepInterpreted, with address
-// resolution reduced to one add per access and each phase's op list
-// executed core-side in a single call. The base-table fills are
-// spelled out inline (see planBases, kept in sync) because the
-// materialization sits on the hottest loop in the repository and must
-// not pay a call per phase.
-func (p *Program) stepCompiled(e *Exec, pl *stepPlan) error {
+// Step executes the current control state of e: charge the declared
+// reads, run the action, charge the declared writes, and take the
+// transition for the returned event. It implements the ActionExecutor +
+// Transition steps of the paper's Algorithm 1 and is shared by both the
+// interleaved runtime and the RTC baseline.
+//
+// Address resolution is one add per access and each phase's op list
+// executes core-side in a single call. The base-table fills are spelled
+// out inline (see planBases, kept in sync) because the materialization
+// sits on the hottest loop in the repository and must not pay a call
+// per phase. With a tracer attached the same body also emits
+// TraceActionBegin, one TraceAccess per declared span (traceOps),
+// TraceActionEnd and TraceTransition — the event stream of the
+// interpreted reference; the simulated work is unchanged. The tracer is
+// re-read at each emission site rather than held in a local, which
+// would stay live across the action call and cost the untraced body
+// spills; tracers are attached and detached between steps, never by an
+// action.
+func (p *Program) Step(e *Exec) error {
+	if e.CS == CSEnd {
+		e.Done = true
+		return nil
+	}
+	pl := &p.plans[e.CS]
 	core := e.Core
 	before := core.Now()
+	if core.Tracer() != nil {
+		traceBegin(core, e.CS, pl.action)
+	}
 	if ops := pl.reads; len(ops) > 0 {
 		bases := &e.bases
 		m := pl.readMask
 		bind := pl.bind
-		if m&(1<<pbPerFlow) != 0 {
-			bases[pbPerFlow] = bind.PerFlow.AddrAt(e.FlowIdx)
+		if m&(1<<BasePerFlow) != 0 {
+			bases[BasePerFlow] = bind.PerFlow.AddrAt(e.FlowIdx)
 		}
-		if m&(1<<pbSubFlow) != 0 {
-			bases[pbSubFlow] = bind.SubFlow.AddrAt(e.SubIdx)
+		if m&(1<<BaseSubFlow) != 0 {
+			bases[BaseSubFlow] = bind.SubFlow.AddrAt(e.SubIdx)
 		}
-		if m&(1<<pbPacket) != 0 {
-			bases[pbPacket] = e.Pkt.Addr
+		if m&(1<<BasePacket) != 0 {
+			bases[BasePacket] = e.Pkt.Addr
 		}
-		if m&(1<<pbTemp) != 0 {
-			bases[pbTemp] = e.TempAddr
+		if m&(1<<BaseTemp) != 0 {
+			bases[BaseTemp] = e.TempAddr
 		}
-		if m&(1<<pbDynamic) != 0 {
-			bases[pbDynamic] = e.Cur.Addr
+		if m&(1<<BaseDynamic) != 0 {
+			bases[BaseDynamic] = e.Cur.Addr
 		}
-		core.ReadSpans(bases, ops)
+		if core.Tracer() != nil {
+			traceOps(core, bases, ops, false)
+		} else {
+			core.ReadSpans(bases, ops)
+		}
 	}
 	afterReads := core.Now()
 
@@ -292,22 +291,26 @@ func (p *Program) stepCompiled(e *Exec, pl *stepPlan) error {
 		bases := &e.bases
 		m := pl.writeMask
 		bind := pl.bind
-		if m&(1<<pbPerFlow) != 0 {
-			bases[pbPerFlow] = bind.PerFlow.AddrAt(e.FlowIdx)
+		if m&(1<<BasePerFlow) != 0 {
+			bases[BasePerFlow] = bind.PerFlow.AddrAt(e.FlowIdx)
 		}
-		if m&(1<<pbSubFlow) != 0 {
-			bases[pbSubFlow] = bind.SubFlow.AddrAt(e.SubIdx)
+		if m&(1<<BaseSubFlow) != 0 {
+			bases[BaseSubFlow] = bind.SubFlow.AddrAt(e.SubIdx)
 		}
-		if m&(1<<pbPacket) != 0 {
-			bases[pbPacket] = e.Pkt.Addr
+		if m&(1<<BasePacket) != 0 {
+			bases[BasePacket] = e.Pkt.Addr
 		}
-		if m&(1<<pbTemp) != 0 {
-			bases[pbTemp] = e.TempAddr
+		if m&(1<<BaseTemp) != 0 {
+			bases[BaseTemp] = e.TempAddr
 		}
-		if m&(1<<pbDynamic) != 0 {
-			bases[pbDynamic] = e.Cur.Addr
+		if m&(1<<BaseDynamic) != 0 {
+			bases[BaseDynamic] = e.Cur.Addr
 		}
-		core.WriteSpans(bases, ops)
+		if core.Tracer() != nil {
+			traceOps(core, bases, ops, true)
+		} else {
+			core.WriteSpans(bases, ops)
+		}
 	}
 	e.AccessCycles += (afterReads - before) + (core.Now() - preWrites)
 
@@ -318,6 +321,9 @@ func (p *Program) stepCompiled(e *Exec, pl *stepPlan) error {
 	if next < 0 {
 		return p.stepTransitionErr(e, ev)
 	}
+	if core.Tracer() != nil {
+		traceEnd(core, pl.action, before, ev, next)
+	}
 	e.CS = next
 	e.Prefetched = false
 	if next == CSEnd {
@@ -326,23 +332,76 @@ func (p *Program) stepCompiled(e *Exec, pl *stepPlan) error {
 	return nil
 }
 
-// prefetchCompiled issues the pre-resolved prefetch plan. The negative
-// miss index tells IssueFetch the caller has no residency knowledge:
-// every line takes the full probing path, exactly like PrefetchLine.
-func (p *Program) prefetchCompiled(e *Exec, pl *stepPlan) {
-	if len(pl.fetch) == 0 {
-		return
-	}
-	e.Core.IssueFetch(planBases(e, pl.bind, pl.fetchMask), pl.fetch, -1)
+// traceBegin stamps subsequent events with the control state and emits
+// its TraceActionBegin. It and the other trace helpers are outlined so
+// the untraced Step body stays small.
+//
+//go:noinline
+func traceBegin(core *sim.Core, cs CSID, action ActionID) {
+	core.SetCS(int32(cs))
+	core.Emit(sim.TraceActionBegin, sim.CauseNone, uint64(action), 0, 0)
 }
 
-// residentCompiled is the exact P-state check: every plan line probed
-// through the core's L1 residency index.
-func (p *Program) residentCompiled(e *Exec, pl *stepPlan) bool {
-	if len(pl.fetch) == 0 {
+// traceEnd emits a completed step's TraceActionEnd (cycles since begin)
+// and its TraceTransition.
+//
+//go:noinline
+func traceEnd(core *sim.Core, action ActionID, begin uint64, ev EventID, next CSID) {
+	core.Emit(sim.TraceActionEnd, sim.CauseNone, uint64(action), core.Now()-begin, 0)
+	core.Emit(sim.TraceTransition, sim.CauseNone, uint64(ev), uint64(next), 0)
+}
+
+// traceOps is the traced form of one ReadSpans/WriteSpans phase: it
+// charges the ops one at a time and follows each with a TraceAccess
+// event attributing the op's stall cycles and L1/LLC misses to its
+// base kind. A one-op ReadSpans is exactly Read(addr, size), so the
+// charged sequence equals the untraced phase's. Only the three
+// attributed counters are read around each op (Core.MissCounts), not
+// a full Counters snapshot.
+//
+//go:noinline
+func traceOps(core *sim.Core, bases *[8]uint64, ops []sim.PlanOp, write bool) {
+	for i := range ops {
+		stall0, l10, llc0 := core.MissCounts()
+		if write {
+			core.WriteSpans(bases, ops[i:i+1])
+		} else {
+			core.ReadSpans(bases, ops[i:i+1])
+		}
+		stall, l1, llc := core.MissCounts()
+		core.Emit(sim.TraceAccess, sim.CauseNone, uint64(ops[i].Base), stall-stall0, (l1-l10)<<32|(llc-llc0))
+	}
+}
+
+// PrefetchCurrent issues prefetches for the current CS's prefetch plan —
+// the Prefetch step of Algorithm 1 — and marks the P-state. Prefetch
+// trace events are emitted per line inside the core. The negative miss
+// index tells IssueFetch the caller has no residency knowledge: every
+// line takes the full probing path, exactly like PrefetchLine.
+func (p *Program) PrefetchCurrent(e *Exec) {
+	e.Prefetched = true
+	if e.CS == CSEnd {
+		return
+	}
+	if e.Core.Tracer() != nil {
+		// Stamp prefetch events with the CS they are fetching for.
+		e.Core.SetCS(int32(e.CS))
+	}
+	if pl := &p.plans[e.CS]; len(pl.fetch) > 0 {
+		e.Core.IssueFetch(planBases(e, pl.bind, pl.fetchMask), pl.fetch, -1)
+	}
+}
+
+// ResidentCurrent reports whether every span the current CS will access
+// is already in L1 — the isPrefetched check against real cache contents
+// used to maintain the P-state. Every plan line is probed through the
+// core's L1 residency index.
+func (p *Program) ResidentCurrent(e *Exec) bool {
+	if e.CS == CSEnd {
 		return true
 	}
-	return e.Core.FirstNonResident(planBases(e, pl.bind, pl.fetchMask), pl.fetch) < 0
+	pl := &p.plans[e.CS]
+	return len(pl.fetch) == 0 || e.Core.FirstNonResident(planBases(e, pl.bind, pl.fetchMask), pl.fetch) < 0
 }
 
 // EnsurePrefetched fuses the scheduler's P-state maintenance visit: it
@@ -357,50 +416,33 @@ func (p *Program) residentCompiled(e *Exec, pl *stepPlan) bool {
 // followed (on failure) by PrefetchCurrent, because residency probes
 // charge nothing.
 func (p *Program) EnsurePrefetched(e *Exec) bool {
+	e.Prefetched = true
 	if e.CS == CSEnd {
-		e.Prefetched = true
 		return true
 	}
-	if p.plans == nil {
-		// Hand-built program without compiled plans: take the unfused pair.
-		if p.ResidentCurrent(e) {
-			e.Prefetched = true
-			return true
-		}
-		p.PrefetchCurrent(e)
-		// The interpreted prefetch path has no planned issue and thus no
-		// max-ready stamp; record an empty stamp under the current epoch
-		// so a wakeup scheduler falls back to its conservative horizon
-		// (the earliest in-flight MSHR) instead of trusting a stale
-		// WakeAt from a previous control state.
-		e.WakeAt = 0
-		e.WakeEpoch = e.Core.EvictionEpoch()
-		return false
-	}
 	pl := &p.plans[e.CS]
-	e.Prefetched = true
 	if len(pl.fetch) == 0 {
 		return true
 	}
 	core := e.Core
-	// Inline base fill — see stepCompiled for why.
+	// Inline base fill — see Step for why.
 	bases := &e.bases
 	m := pl.fetchMask
 	bind := pl.bind
-	if m&(1<<pbPerFlow) != 0 {
-		bases[pbPerFlow] = bind.PerFlow.AddrAt(e.FlowIdx)
+	if m&(1<<BasePerFlow) != 0 {
+		bases[BasePerFlow] = bind.PerFlow.AddrAt(e.FlowIdx)
 	}
-	if m&(1<<pbSubFlow) != 0 {
-		bases[pbSubFlow] = bind.SubFlow.AddrAt(e.SubIdx)
+	if m&(1<<BaseSubFlow) != 0 {
+		bases[BaseSubFlow] = bind.SubFlow.AddrAt(e.SubIdx)
 	}
-	if m&(1<<pbPacket) != 0 {
-		bases[pbPacket] = e.Pkt.Addr
+	if m&(1<<BasePacket) != 0 {
+		bases[BasePacket] = e.Pkt.Addr
 	}
-	if m&(1<<pbTemp) != 0 {
-		bases[pbTemp] = e.TempAddr
+	if m&(1<<BaseTemp) != 0 {
+		bases[BaseTemp] = e.TempAddr
 	}
-	if m&(1<<pbDynamic) != 0 {
-		bases[pbDynamic] = e.Cur.Addr
+	if m&(1<<BaseDynamic) != 0 {
+		bases[BaseDynamic] = e.Cur.Addr
 	}
 	miss := core.FirstNonResident(bases, pl.fetch)
 	if miss < 0 {
@@ -425,8 +467,7 @@ func (p *Program) EnsurePrefetched(e *Exec) bool {
 	return false
 }
 
-// stepEventErr builds the unknown-event diagnostic off the hot path,
-// matching the interpreted executor's message exactly.
+// stepEventErr builds the unknown-event diagnostic off the hot path.
 //
 //go:noinline
 func (p *Program) stepEventErr(e *Exec, ev EventID) error {
@@ -436,7 +477,7 @@ func (p *Program) stepEventErr(e *Exec, ev EventID) error {
 }
 
 // stepTransitionErr builds the missing-transition diagnostic off the
-// hot path, matching the interpreted executor's message exactly.
+// hot path.
 //
 //go:noinline
 func (p *Program) stepTransitionErr(e *Exec, ev EventID) error {

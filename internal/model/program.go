@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/gunfu-nfv/gunfu/internal/mem"
-	"github.com/gunfu-nfv/gunfu/internal/sim"
 )
 
 // CSID identifies a control state within a Program. CSEnd (0) is the
@@ -135,230 +134,9 @@ func (p *Program) EventName(id EventID) string {
 // NumEvents returns the number of interned events.
 func (p *Program) NumEvents() int { return len(p.events) }
 
-// Resolve computes the concrete simulated address of a span for the
-// given execution context.
-func Resolve(s Span, bind *Binding, e *Exec) uint64 {
-	switch s.Base {
-	case BasePerFlow:
-		return bind.PerFlow.MustAddr(int(e.FlowIdx)) + s.Off
-	case BaseSubFlow:
-		return bind.SubFlow.MustAddr(int(e.SubIdx)) + s.Off
-	case BasePacket:
-		return e.Pkt.Addr + s.Off
-	case BaseControl:
-		return bind.Control.Base + s.Off
-	case BaseTemp:
-		return e.TempAddr + s.Off
-	case BaseDynamic:
-		return e.Cur.Addr + s.Off
-	default:
-		panic(fmt.Sprintf("model: unresolvable span base %v", s.Base))
-	}
-}
-
-// Step executes the current control state of e: charge the declared
-// reads, run the action, charge the declared writes, and take the
-// transition for the returned event. It implements the ActionExecutor +
-// Transition steps of the paper's Algorithm 1 and is shared by both the
-// interleaved runtime and the RTC baseline.
-//
-// Untraced execution runs through the compiled step plan (plan.go);
-// attaching a tracer routes to the interpreted traced twin, which emits
-// per-span attribution events. Both issue the identical simulated
-// access sequence.
-func (p *Program) Step(e *Exec) error {
-	if e.CS == CSEnd {
-		e.Done = true
-		return nil
-	}
-	core := e.Core
-	if core.Tracer() != nil {
-		return p.stepTraced(e, &p.cs[e.CS])
-	}
-	if p.plans != nil {
-		return p.stepCompiled(e, &p.plans[e.CS])
-	}
-	return p.stepInterpreted(e)
-}
-
-// StepInterpreted is the span-interpreting reference executor: the
-// original Step body, kept as the behavioral oracle the
-// differential-replay harness compares the compiled plan path against.
-// Production callers should use Step.
-func (p *Program) StepInterpreted(e *Exec) error {
-	if e.CS == CSEnd {
-		e.Done = true
-		return nil
-	}
-	if e.Core.Tracer() != nil {
-		return p.stepTraced(e, &p.cs[e.CS])
-	}
-	return p.stepInterpreted(e)
-}
-
-func (p *Program) stepInterpreted(e *Exec) error {
-	info := &p.cs[e.CS]
-	core := e.Core
-
-	before := core.Now()
-	for _, s := range info.Reads {
-		core.Read(Resolve(s, info.Bind, e), s.Size)
-	}
-	afterReads := core.Now()
-
-	act := &p.actions[info.Action]
-	core.Compute(act.Cost)
-	ev := act.Fn(e)
-
-	preWrites := core.Now()
-	for _, s := range info.Writes {
-		core.Write(Resolve(s, info.Bind, e), s.Size)
-	}
-	e.AccessCycles += (afterReads - before) + (core.Now() - preWrites)
-
-	if ev <= EvInvalid || int(ev) >= len(info.Next) {
-		return fmt.Errorf("model: %s: action %s returned unknown event %d", info.Name, act.Name, ev)
-	}
-	next := info.Next[ev]
-	if next < 0 {
-		return fmt.Errorf("model: %s: no transition for event %q", info.Name, p.EventName(ev))
-	}
-	e.CS = next
-	e.Prefetched = false
-	if next == CSEnd {
-		e.Done = true
-	}
-	return nil
-}
-
-// stepTraced is Step's instrumented twin, taken only while a tracer is
-// attached. It charges exactly the same simulated work in exactly the
-// same order as the untraced path — the golden-counters tests run both
-// paths against the same pinned fingerprints, so any drift between the
-// two bodies is caught — and additionally emits action, state-access
-// and transition events with attribution stamps.
-func (p *Program) stepTraced(e *Exec, info *CSInfo) error {
-	core := e.Core
-	core.SetCS(int32(e.CS))
-	begin := core.Now()
-	core.Emit(sim.TraceActionBegin, sim.CauseNone, uint64(info.Action), 0, 0)
-
-	before := core.Now()
-	for _, s := range info.Reads {
-		c0 := core.Counters()
-		core.Read(Resolve(s, info.Bind, e), s.Size)
-		d := core.Counters().Sub(c0)
-		core.Emit(sim.TraceAccess, sim.CauseNone, uint64(s.Base), d.StallCycles, d.L1Misses<<32|d.LLCMisses)
-	}
-	afterReads := core.Now()
-
-	act := &p.actions[info.Action]
-	core.Compute(act.Cost)
-	ev := act.Fn(e)
-
-	preWrites := core.Now()
-	for _, s := range info.Writes {
-		c0 := core.Counters()
-		core.Write(Resolve(s, info.Bind, e), s.Size)
-		d := core.Counters().Sub(c0)
-		core.Emit(sim.TraceAccess, sim.CauseNone, uint64(s.Base), d.StallCycles, d.L1Misses<<32|d.LLCMisses)
-	}
-	e.AccessCycles += (afterReads - before) + (core.Now() - preWrites)
-
-	if ev <= EvInvalid || int(ev) >= len(info.Next) {
-		return fmt.Errorf("model: %s: action %s returned unknown event %d", info.Name, act.Name, ev)
-	}
-	next := info.Next[ev]
-	if next < 0 {
-		return fmt.Errorf("model: %s: no transition for event %q", info.Name, p.EventName(ev))
-	}
-	core.Emit(sim.TraceActionEnd, sim.CauseNone, uint64(info.Action), core.Now()-begin, 0)
-	core.Emit(sim.TraceTransition, sim.CauseNone, uint64(ev), uint64(next), 0)
-	e.CS = next
-	e.Prefetched = false
-	if next == CSEnd {
-		e.Done = true
-	}
-	return nil
-}
-
-// PrefetchCurrent issues prefetches for the current CS's prefetch plan —
-// the Prefetch step of Algorithm 1 — and marks the P-state. The plan
-// path is taken even under tracing: prefetch trace events are emitted
-// per line inside the core, so pre-resolved line issue is trace-safe.
-func (p *Program) PrefetchCurrent(e *Exec) {
-	if e.CS == CSEnd {
-		e.Prefetched = true
-		return
-	}
-	if e.Core.Tracer() != nil {
-		// Stamp prefetch events with the CS they are fetching for.
-		e.Core.SetCS(int32(e.CS))
-	}
-	if p.plans != nil {
-		p.prefetchCompiled(e, &p.plans[e.CS])
-	} else {
-		p.prefetchInterpreted(e)
-	}
-	e.Prefetched = true
-}
-
-// PrefetchCurrentInterpreted is the span-interpreting reference twin of
-// PrefetchCurrent, kept for differential replay.
-func (p *Program) PrefetchCurrentInterpreted(e *Exec) {
-	if e.CS == CSEnd {
-		e.Prefetched = true
-		return
-	}
-	if e.Core.Tracer() != nil {
-		e.Core.SetCS(int32(e.CS))
-	}
-	p.prefetchInterpreted(e)
-	e.Prefetched = true
-}
-
-func (p *Program) prefetchInterpreted(e *Exec) {
-	info := &p.cs[e.CS]
-	for _, s := range info.Prefetch {
-		e.Core.Prefetch(Resolve(s, info.Bind, e), s.Size)
-	}
-}
-
-// ResidentCurrent reports whether every span the current CS will access
-// is already in L1 — the isPrefetched check against real cache contents
-// used to maintain the P-state.
-func (p *Program) ResidentCurrent(e *Exec) bool {
-	if e.CS == CSEnd {
-		return true
-	}
-	if p.plans != nil {
-		return p.residentCompiled(e, &p.plans[e.CS])
-	}
-	return p.residentInterpreted(e)
-}
-
-// ResidentCurrentInterpreted is the span-interpreting reference twin of
-// ResidentCurrent, kept for differential replay.
-func (p *Program) ResidentCurrentInterpreted(e *Exec) bool {
-	if e.CS == CSEnd {
-		return true
-	}
-	return p.residentInterpreted(e)
-}
-
-func (p *Program) residentInterpreted(e *Exec) bool {
-	info := &p.cs[e.CS]
-	for _, s := range info.Prefetch {
-		if !e.Core.ResidentL1(Resolve(s, info.Bind, e), s.Size) {
-			return false
-		}
-	}
-	return true
-}
-
 // Validate checks structural soundness: every transition targets an
-// existing CS, every CS has a valid action, the start state exists, and
-// End is reachable from the start.
+// existing CS, every CS has a valid action and executable spans, the
+// start state exists, and End is reachable from the start.
 func (p *Program) Validate() error {
 	if p.start <= CSEnd || int(p.start) >= len(p.cs) {
 		return fmt.Errorf("model: program %s: invalid start state %d", p.name, p.start)
@@ -388,6 +166,13 @@ func (p *Program) Validate() error {
 		if info.Bind == nil {
 			return fmt.Errorf("model: %s: no binding", info.Name)
 		}
+		for _, spans := range [...][]Span{info.Reads, info.Writes, info.Prefetch} {
+			for _, s := range spans {
+				if err := checkSpan(s, info.Bind); err != nil {
+					return fmt.Errorf("model: %s: %w", info.Name, err)
+				}
+			}
+		}
 	}
 	// Reachability of End from start.
 	seen := make([]bool, len(p.cs))
@@ -410,6 +195,26 @@ func (p *Program) Validate() error {
 	}
 	if !reachedEnd {
 		return fmt.Errorf("model: program %s: End unreachable from start", p.name)
+	}
+	return nil
+}
+
+// checkSpan reports whether the step plan can resolve a span: its base
+// must be one of BasePerFlow..BaseDynamic, and a pool base needs its
+// pool bound.
+func checkSpan(s Span, bind *Binding) error {
+	switch s.Base {
+	case BasePerFlow:
+		if bind.PerFlow == nil {
+			return fmt.Errorf("%v span %+v without a per-flow pool", s.Base, s)
+		}
+	case BaseSubFlow:
+		if bind.SubFlow == nil {
+			return fmt.Errorf("%v span %+v without a sub-flow pool", s.Base, s)
+		}
+	case BasePacket, BaseControl, BaseTemp, BaseDynamic:
+	default:
+		return fmt.Errorf("span %+v has unresolvable base %v", s, s.Base)
 	}
 	return nil
 }

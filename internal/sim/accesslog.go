@@ -5,15 +5,15 @@ package sim
 // Tracer (which reports simulation *outcomes* — stalls, prefetch fates),
 // the access log reports the *inputs*: the exact (addr, size, kind,
 // cycle) sequence an executor issued. The differential-replay harness in
-// internal/model uses it to prove that the compiled step-plan executor
-// and the interpreted reference executor drive the core with
-// byte-identical sequences.
+// internal/model uses it to prove that the step-plan executor
+// (model.Program.Step) drives the core with byte-identical sequences to
+// the span-interpreting reference executor kept in that package's tests.
 //
-// Granularity: demand reads and writes are logged per Read/Write call
-// (both executors issue them span-by-span), prefetches per line (the
-// plan executor issues pre-resolved lines while the interpreter issues
-// spans, but both decompose to the same per-line issue sequence inside
-// the core). Residency queries are pure and charge nothing, so they are
+// Granularity: demand reads and writes are logged per span (one
+// Read/Write call, or one ReadSpans/WriteSpans op), prefetches per line
+// (the plan executor issues pre-resolved lines while the reference
+// issues spans, but both decompose to the same per-line issue sequence
+// inside the core). Residency queries are pure and charge nothing, so they are
 // not logged.
 //
 // The hook is host-side only and counter-neutral, but unlike the Tracer

@@ -101,6 +101,13 @@ func (c *Core) Counters() Counters {
 	return ctr
 }
 
+// MissCounts returns the stall-cycle, L1-miss and LLC-miss counters
+// without copying the whole PMU block — the three a per-access trace
+// attribution takes the difference of.
+func (c *Core) MissCounts() (stall, l1Misses, llcMisses uint64) {
+	return c.ctr.StallCycles, c.ctr.L1Misses, c.ctr.LLCMisses
+}
+
 // EvictionEpoch returns the core's eviction epoch: a host-side counter
 // advanced on Reset and whenever an install displaces a valid line at
 // any level. A residency verdict recorded at epoch E (e.g. a wakeup
